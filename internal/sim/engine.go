@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The simulator is organized as a World of event domains. Each domain
@@ -15,12 +17,12 @@
 // the classic single-heap event loop with identical semantics.
 //
 // Work is expressed either as plain callback events (Schedule/At) or as
-// blocking processes (Go), which are goroutines that run under a strict
-// handoff discipline: at any moment, at most one goroutine per domain —
-// the domain's window loop or exactly one of its processes — is
-// executing. This keeps all simulation state domain-local (no data
-// races, fully deterministic) while letting protocol code be written in
-// a natural blocking style (Sleep, Future.Wait, Resource.Acquire).
+// blocking processes (Go): runtime coroutines (iter.Pull) that the domain
+// loop switches into and that switch back when they park, on one thread.
+// At most one context per domain — its window loop or one of its
+// processes — executes at a time, so all simulation state stays
+// domain-local (no data races, fully deterministic) while protocol code
+// blocks naturally (Sleep, Future.Wait, Resource.Acquire).
 //
 // Determinism: events at the same virtual time fire in the order they
 // were scheduled (FIFO tie-break by sequence number), every domain's RNG
@@ -42,6 +44,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -940,8 +943,9 @@ func (e *Engine) LiveProcs() int { return e.w.LiveProcs() }
 // ---------------------------------------------------------------------------
 // Processes
 
-// Proc is a blocking simulation process. Its methods must only be called
-// from the process's own goroutine.
+// Proc is a blocking simulation process, run on a coroutine (package
+// comment). Its methods must only be called from within the process (the
+// fn given to Go); a panic there comes out of Run with its original value.
 //
 // A process belongs to the domain it was spawned on, but a Future bound
 // to another domain may resume it there: after Wait returns, the process
@@ -949,37 +953,84 @@ func (e *Engine) LiveProcs() int { return e.w.LiveProcs() }
 // suspension. Protocol code that blocks only on its own machine's
 // connections never changes domains.
 type Proc struct {
-	cur    *Engine // domain currently executing (or about to execute) this proc
-	name   string
-	resume chan struct{} // domain loop -> proc handoff
-	yield  chan struct{} // proc -> domain loop handoff
-	dead   bool
+	cur  *Engine // domain currently executing (or about to execute) this proc
+	name string
+	fn   func(p *Proc) // nil once fn returned
+	co   *coro         // nil until first dispatched
+	wake func()        // p.step, bound once for Go and Sleep
+}
+
+// coro is a runtime coroutine (iter.Pull) that runs process functions one
+// after another: when a process's fn returns, the coroutine parks and step
+// returns it to coroPool for a later process.
+type coro struct {
+	next  func() (struct{}, bool) // domain loop -> proc switch
+	yield func(struct{}) bool     // proc -> domain loop switch
+	p     *Proc                   // the process it runs
+}
+
+// coroPool holds the coroutines of finished processes. Reuse saves a
+// goroutine start per process, and it keeps race-enabled builds from
+// leaking a race-detector context per process: the runtime releases none
+// when a coroutine exits. The pool is process-wide because worlds are
+// dropped without notice; it never holds more coroutines than the peak
+// number of live processes.
+var coroPool struct {
+	sync.Mutex
+	free []*coro
+}
+
+func getCoro() *coro {
+	coroPool.Lock()
+	if n := len(coroPool.free); n > 0 {
+		c := coroPool.free[n-1]
+		coroPool.free = coroPool.free[:n-1]
+		coroPool.Unlock()
+		return c
+	}
+	coroPool.Unlock()
+	c := &coro{}
+	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p := c.p
+			p.fn(p)
+			p.fn = nil
+			p.cur.w.procs.Add(-1)
+			yield(struct{}{})
+		}
+	})
+	return c
 }
 
 // Go starts fn as a new process on this domain. fn begins executing at
 // the current virtual time but only after the current event completes
 // (it is scheduled like any other event).
 func (e *Engine) Go(name string, fn func(p *Proc)) {
-	p := &Proc{cur: e, name: name, resume: make(chan struct{}), yield: make(chan struct{})}
+	p := &Proc{cur: e, name: name, fn: fn}
 	e.w.procs.Add(1)
-	go func() {
-		<-p.resume // wait for first dispatch
-		fn(p)
-		p.dead = true
-		p.cur.w.procs.Add(-1)
-		p.yield <- struct{}{} // return control to the domain loop
-	}()
-	e.Schedule(0, func() { p.step() })
+	p.wake = p.step
+	e.Schedule(0, p.wake)
 }
 
 // step transfers control to the process until it parks or exits. It must
 // run in the domain execution context recorded in p.cur.
 func (p *Proc) step() {
-	if p.dead {
+	if p.fn == nil {
 		panic(fmt.Sprintf("sim: resuming dead proc %q", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	if p.co == nil {
+		p.co = getCoro()
+		p.co.p = p
+	}
+	p.co.next()
+	if p.fn == nil { // fn returned: the coroutine is parked and free
+		c := p.co
+		p.co, c.p = nil, nil
+		coroPool.Lock()
+		coroPool.free = append(coroPool.free, c)
+		coroPool.Unlock()
+	}
 }
 
 // resumeIn transfers control to the process within domain e's execution.
@@ -991,10 +1042,7 @@ func (p *Proc) resumeIn(e *Engine) {
 
 // park returns control to the domain loop; the process resumes when
 // something calls step (via a scheduled event or a future completion).
-func (p *Proc) park() {
-	p.yield <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.co.yield(struct{}{}) }
 
 // Engine returns the domain this process is currently executing in.
 func (p *Proc) Engine() *Engine { return p.cur }
@@ -1008,7 +1056,7 @@ func (p *Proc) Now() Time { return p.cur.now }
 // Sleep suspends the process for d of virtual time on its current
 // domain's clock.
 func (p *Proc) Sleep(d Duration) {
-	p.cur.Schedule(d, func() { p.step() })
+	p.cur.Schedule(d, p.wake)
 	p.park()
 }
 

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -504,5 +507,151 @@ func TestTimerStopGenerationAcrossWindows(t *testing.T) {
 	e.Run()
 	if fired != want {
 		t.Fatalf("fired = %d of %d events (stale Stop killed a recycled event)", fired, want)
+	}
+}
+
+// recoverRun runs fn and returns the value it panicked with (nil if none).
+func recoverRun(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// procBoom is the sentinel a test proc panics with.
+type procBoom struct{ n int }
+
+// TestProcPanicSurfacesFromRun: a panic inside a process comes out of Run
+// with its original value — serially, and at four workers, where it
+// crosses runParallel's worker panic channel — instead of killing the
+// binary from a bare goroutine.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		root := NewEngine(2)
+		w := root.World()
+		w.SetWorkers(workers)
+		w.DeclareLookahead(time.Microsecond)
+		for i := 0; i < 4; i++ {
+			d := w.NewDomain()
+			d.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+				for k := 0; ; k++ {
+					if i == 2 && k == 5 {
+						panic(procBoom{7})
+					}
+					p.Sleep(time.Microsecond)
+				}
+			})
+		}
+		r := recoverRun(root.Run)
+		if r != (procBoom{7}) {
+			t.Fatalf("workers=%d: Run panicked with %#v, want procBoom{7}", workers, r)
+		}
+	}
+}
+
+// TestSteppingDeadProcPanics: resuming a process whose function returned
+// is a scheduler bug and must say so.
+func TestSteppingDeadProcPanics(t *testing.T) {
+	e := NewEngine(1)
+	var proc *Proc
+	e.Go("short", func(p *Proc) { proc = p })
+	e.Run()
+	r := recoverRun(proc.step)
+	if s, _ := r.(string); !strings.Contains(s, `sim: resuming dead proc "short"`) {
+		t.Fatalf("stepping a dead proc panicked with %#v", r)
+	}
+}
+
+// TestProcMigrationParallelMatchesSerial: processes that hop between
+// domains by waiting on futures bound to other domains see the same
+// domains, clocks and values at four workers as serially. Run under
+// -race, it also checks that resuming a process from a different worker
+// goroutine in a later window is properly ordered by the barrier.
+func TestProcMigrationParallelMatchesSerial(t *testing.T) {
+	const nDom, hops = 4, 6
+	run := func(workers int) []string {
+		root := NewEngine(9)
+		w := root.World()
+		w.SetWorkers(workers)
+		w.DeclareLookahead(time.Microsecond)
+		doms := make([]*Engine, nDom)
+		for i := range doms {
+			doms[i] = w.NewDomain()
+		}
+		logs := make([][]string, nDom)
+		for i := range doms {
+			fs := make([]*Future[int], hops+1)
+			for k := 1; k <= hops; k++ {
+				d := doms[(i+k)%nDom]
+				f := NewFuture[int](d)
+				fs[k] = f
+				v := 100*i + k
+				d.At(Time(time.Duration(10*k+i)*time.Microsecond), func() { f.Complete(v) })
+			}
+			doms[i].Go(fmt.Sprintf("hopper%d", i), func(p *Proc) {
+				for k := 1; k <= hops; k++ {
+					p.Sleep(2 * time.Microsecond)
+					v := fs[k].Wait(p)
+					logs[i] = append(logs[i], fmt.Sprintf("v%d d%d @%v", v, p.Engine().DomainID(), p.Now()))
+				}
+			})
+		}
+		root.Run()
+		if n := root.LiveProcs(); n != 0 {
+			t.Fatalf("workers=%d: %d procs leaked", workers, n)
+		}
+		var out []string
+		for _, l := range logs {
+			out = append(out, l...)
+		}
+		return out
+	}
+	serial := run(1)
+	// Domain ids are offset by one: the root domain is 0.
+	if want := fmt.Sprintf("v%d d%d @%v", 100+hops, 1+(1+hops)%nDom, Time(time.Duration(10*hops+1)*time.Microsecond)); serial[2*hops-1] != want {
+		t.Fatalf("serial hop log ends %q, want %q", serial[2*hops-1], want)
+	}
+	if par := run(4); !reflect.DeepEqual(par, serial) {
+		t.Fatalf("workers=4 hop log differs from serial:\n%v\nvs\n%v", par, serial)
+	}
+}
+
+// TestProcSleepAllocs: once the event pool and burst buffers are warm, a
+// Sleep(0) round trip — schedule the wake event, switch to the domain
+// loop, fire it, switch back — allocates nothing.
+func TestProcSleepAllocs(t *testing.T) {
+	e := NewEngine(1)
+	var avg float64
+	e.Go("pinger", func(p *Proc) {
+		p.Sleep(0)
+		avg = testing.AllocsPerRun(1000, func() { p.Sleep(0) })
+	})
+	e.Run()
+	if avg != 0 {
+		t.Fatalf("Sleep(0) round trip allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestProcCoroutinesReused: a finished process's coroutine goes back to
+// the pool and runs the next process, so a chain of short processes —
+// each spawning its successor — runs on a single coroutine. (An exited
+// coroutine leaks its race-detector context, so one coroutine per
+// process would grow race builds without bound.)
+func TestProcCoroutinesReused(t *testing.T) {
+	e := NewEngine(1)
+	seen := map[*coro]bool{}
+	var spawn func(i int)
+	spawn = func(i int) {
+		e.Go(fmt.Sprintf("link%d", i), func(p *Proc) {
+			seen[p.co] = true
+			p.Sleep(time.Microsecond)
+			if i < 199 {
+				spawn(i + 1)
+			}
+		})
+	}
+	spawn(0)
+	e.Run()
+	if len(seen) != 1 || e.LiveProcs() != 0 {
+		t.Fatalf("200 chained procs ran on %d coroutines (live %d), want 1", len(seen), e.LiveProcs())
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -31,21 +33,41 @@ func sparseChains(t *testing.T, nBusy, nIdle int, sparse bool, workers int) (str
 			}
 		}
 	}
-	log := ""
+	// One log per domain: at workers > 1 the domains of a window run
+	// concurrently, so a shared log would race. The per-domain logs merge
+	// in canonical (time, domain) order afterwards.
+	type entry struct {
+		at Time
+		d  int
+	}
+	logs := make([][]entry, len(doms))
 	for i, d := range doms {
 		i, d := i, d
-		n := 0
 		var tick func()
 		tick = func() {
-			log += fmt.Sprintf("d%d@%v ", i, d.Now())
-			if n++; n < 40 {
+			logs[i] = append(logs[i], entry{d.Now(), i})
+			if len(logs[i]) < 40 {
 				d.Schedule(Duration(time.Microsecond), tick)
 			}
 		}
 		d.Schedule(0, tick)
 	}
 	root.Run()
-	return log, hooks, w.Stats()
+	var all []entry
+	for _, l := range logs {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].at != all[b].at {
+			return all[a].at < all[b].at
+		}
+		return all[a].d < all[b].d
+	})
+	var log strings.Builder
+	for _, e := range all {
+		fmt.Fprintf(&log, "d%d@%v ", e.d, e.at)
+	}
+	return log.String(), hooks, w.Stats()
 }
 
 // TestSparseBarriersElideIdleSweeps: with no producer ever raising the
