@@ -23,8 +23,10 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench ./internal/sim ./internal/fabric ./internal/rdma \
-		./internal/transport ./internal/kv
+		./internal/transport ./internal/kv ./internal/alloc
 
-# Allocation microbenchmarks for the simulator hot path.
+# Allocation microbenchmarks for the simulator hot path and the in-flight
+# tracking (send window, quiescer).
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim ./internal/memory ./internal/bench
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim ./internal/memory ./internal/bench \
+		./internal/transport ./internal/alloc

@@ -120,10 +120,26 @@ func (f *FreeList) FlushWhenQuiet(q *Quiescer) {
 // It is an epoch scheme: OpStart/OpEnd bracket every NIC op. A Flush call
 // stamps the current epoch; once all ops started in or before that epoch
 // finish, the flush's callback runs.
+//
+// Op ids are issued sequentially, so the ops still tracked are exactly
+// the ids in [lo, nextOp), where lo is the oldest unfinished op. A ring
+// of "ended" flags, indexed by id and grown by doubling, covers that
+// range: OpEnd marks its id and pops finished ids off the head, so the
+// oldest in-flight op is lo, read in O(1). Queued waits sit in a second
+// ring, FIFO, their barriers non-decreasing, so only the head is ever
+// tested. Each op and each wait costs amortised O(1) however many are
+// outstanding, and none allocates once both rings cover the working set.
 type Quiescer struct {
-	inFlight map[uint64]struct{}
+	ended    []bool // ended[id&mask] for id in [lo, nextOp); len is a power of two
+	mask     uint64
+	lo       uint64
 	nextOp   uint64
-	waits    []quiesceWait
+	inFlight int
+	// waits[(whead+i)&(len(waits)-1)] for i < nwaits; len is a power
+	// of two.
+	waits  []quiesceWait
+	whead  int
+	nwaits int
 }
 
 type quiesceWait struct {
@@ -133,56 +149,77 @@ type quiesceWait struct {
 
 // NewQuiescer returns an idle quiescer.
 func NewQuiescer() *Quiescer {
-	return &Quiescer{inFlight: make(map[uint64]struct{})}
+	const initial = 16
+	return &Quiescer{
+		ended: make([]bool, initial),
+		mask:  initial - 1,
+		waits: make([]quiesceWait, initial),
+	}
 }
 
 // OpStart registers an in-flight operation and returns its token.
 func (q *Quiescer) OpStart() uint64 {
+	if q.nextOp-q.lo == uint64(len(q.ended)) {
+		n := make([]bool, 2*len(q.ended))
+		mask := uint64(len(n) - 1)
+		for id := q.lo; id < q.nextOp; id++ {
+			n[id&mask] = q.ended[id&q.mask]
+		}
+		q.ended, q.mask = n, mask
+	}
 	id := q.nextOp
 	q.nextOp++
-	q.inFlight[id] = struct{}{}
+	q.ended[id&q.mask] = false
+	q.inFlight++
 	return id
 }
 
-// OpEnd retires the operation with the given token.
+// OpEnd retires the operation with the given token. It panics if id was
+// never started or has already ended.
 func (q *Quiescer) OpEnd(id uint64) {
-	if _, ok := q.inFlight[id]; !ok {
+	if id < q.lo || id >= q.nextOp || q.ended[id&q.mask] {
 		panic(fmt.Sprintf("alloc: OpEnd(%d) without matching OpStart", id))
 	}
-	delete(q.inFlight, id)
+	q.ended[id&q.mask] = true
+	q.inFlight--
+	for q.lo < q.nextOp && q.ended[q.lo&q.mask] {
+		q.lo++
+	}
 	q.advance()
 }
 
 // AfterQuiesce schedules fn to run once every operation currently in
 // flight has completed. Operations starting later do not delay fn.
 func (q *Quiescer) AfterQuiesce(fn func()) {
-	q.waits = append(q.waits, quiesceWait{barrier: q.nextOp, fn: fn})
+	if q.nwaits == len(q.waits) {
+		n := make([]quiesceWait, 2*len(q.waits))
+		for i := 0; i < q.nwaits; i++ {
+			n[i] = q.waits[(q.whead+i)&(len(q.waits)-1)]
+		}
+		q.waits, q.whead = n, 0
+	}
+	q.waits[(q.whead+q.nwaits)&(len(q.waits)-1)] = quiesceWait{barrier: q.nextOp, fn: fn}
+	q.nwaits++
 	q.advance()
 }
 
 // InFlight reports the number of outstanding operations.
-func (q *Quiescer) InFlight() int { return len(q.inFlight) }
+func (q *Quiescer) InFlight() int { return q.inFlight }
 
+// advance runs, in order, every queued wait whose barrier the oldest
+// in-flight op has passed. A callback may itself start, end, or queue.
 func (q *Quiescer) advance() {
-	for len(q.waits) > 0 {
-		w := q.waits[0]
-		if q.oldest() < w.barrier {
+	for q.nwaits > 0 {
+		w := &q.waits[q.whead]
+		if q.lo < w.barrier {
 			return
 		}
-		q.waits = q.waits[1:]
-		w.fn()
+		fn := w.fn
+		*w = quiesceWait{}
+		q.whead = (q.whead + 1) & (len(q.waits) - 1)
+		q.nwaits--
+		fn()
 	}
-}
-
-// oldest returns the smallest in-flight op id, or nextOp if none.
-func (q *Quiescer) oldest() uint64 {
-	min := q.nextOp
-	for id := range q.inFlight {
-		if id < min {
-			min = id
-		}
-	}
-	return min
 }
 
 // SizeClasses returns power-of-two buffer sizes covering [minSize, maxSize]

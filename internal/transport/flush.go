@@ -90,8 +90,8 @@ func (f *flusher) setPolicy(maxFrames, maxBytes int) {
 	f.mu.Unlock()
 }
 
-// stats returns the syscall telemetry: Write calls completed, frames
-// and bytes they carried.
+// stats returns the syscall telemetry: Write calls issued and not
+// failed, frames and bytes they carried.
 func (f *flusher) stats() (writes, frames, bytes int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -234,6 +234,12 @@ func (f *flusher) run() {
 		buf := f.stage[head:cut]
 		n := int64(k - f.done)
 		f.done = k
+		// Count the Write as it is issued: the responses to its frames
+		// can arrive, and their issuers read FlushStats, before this
+		// goroutine takes the lock back.
+		f.writes++
+		f.frames += n
+		f.bytes += int64(len(buf))
 		f.mu.Unlock()
 		_, werr := f.nc.Write(buf)
 		f.mu.Lock()
@@ -241,6 +247,9 @@ func (f *flusher) run() {
 			// A failed (possibly partial) Write counts nothing: the
 			// telemetry reports frames/bytes carried to the wire, and an
 			// errored batch never reliably was.
+			f.writes--
+			f.frames -= n
+			f.bytes -= int64(len(buf))
 			if f.err == nil {
 				f.err = werr
 			}
@@ -249,8 +258,5 @@ func (f *flusher) run() {
 			f.onError(werr)
 			return
 		}
-		f.writes++
-		f.frames += n
-		f.bytes += int64(len(buf))
 	}
 }

@@ -1,6 +1,10 @@
 package transport
 
-import "prism/internal/wire"
+import (
+	"fmt"
+
+	"prism/internal/wire"
+)
 
 // Window is the transport-agnostic half of a PRISM connection's client
 // side: the pooled epoch-stamped request records, the connection-owned
@@ -16,6 +20,15 @@ import "prism/internal/wire"
 // arena. A Window is single-owner — the sim binds one per connection on
 // the client machine's event domain, the live client guards each with
 // its connection mutex.
+//
+// In-flight tracking costs O(1) per request whatever the depth. Callers
+// Prepare then Enqueue each request (Enqueue panics otherwise), so
+// enqueued seqs are consecutive, the queue drains them in order, and the
+// strict window keeps every pending seq inside [lo, lo+depth). Pending
+// entries therefore sit in a power-of-two ring indexed by seq, with no
+// two sharing a slot: Drain compares the queue head against lo, Take
+// finds its entry by slot and rejects a slot holding another seq (a
+// duplicate, stale, or aliased response), and Drop visits oldest-first.
 type Window[X any] struct {
 	// Depth is the send window: request N is only on the wire when
 	// N-Depth has been acknowledged. The sim transport sets it to the
@@ -31,9 +44,19 @@ type Window[X any] struct {
 	transmit func(*Entry[X])
 
 	connID uint64
-	seq    uint64
+	// seq is the next seq Prepare stamps; next is the seq the next
+	// Enqueue must carry.
+	seq  uint64
+	next uint64
 
-	pending map[uint64]*Entry[X]
+	// ring holds the pending (transmitted, unacknowledged) entries at
+	// slot seq&mask; every other slot is nil. Pending seqs lie in
+	// [lo, hi): lo is the oldest pending seq (hi when none is) and hi
+	// the next seq Drain transmits. inFlight counts the pending entries.
+	ring     []*Entry[X]
+	mask     uint64
+	lo, hi   uint64
+	inFlight int
 	// queue holds requests awaiting a send-window slot. qhead is the pop
 	// cursor: entries before it are drained, and the slice rewinds to
 	// its full capacity once empty, so the steady state appends into
@@ -71,11 +94,16 @@ type Entry[X any] struct {
 // NewWindow returns a window for connection connID with the given send
 // window depth and transmit hook.
 func NewWindow[X any](connID, depth uint64, transmit func(*Entry[X])) *Window[X] {
+	n := uint64(1)
+	for n < depth {
+		n <<= 1
+	}
 	return &Window[X]{
 		depth:    depth,
 		transmit: transmit,
 		connID:   connID,
-		pending:  make(map[uint64]*Entry[X]),
+		ring:     make([]*Entry[X], n),
+		mask:     n - 1,
 	}
 }
 
@@ -140,7 +168,13 @@ func (w *Window[X]) Prepare(ops []wire.Op) *Entry[X] {
 }
 
 // Enqueue appends a prepared entry to the send queue and drains.
+// Entries must be enqueued in the order Prepare stamped them, each
+// exactly once; anything else would break the seq ring, so it panics.
 func (w *Window[X]) Enqueue(e *Entry[X]) {
+	if e.Req.Seq != w.next {
+		panic(fmt.Sprintf("transport: enqueue of seq %d, want %d (Prepare and Enqueue must pair in order)", e.Req.Seq, w.next))
+	}
+	w.next++
 	w.queue = append(w.queue, e)
 	w.Drain()
 }
@@ -150,20 +184,14 @@ func (w *Window[X]) Enqueue(e *Entry[X]) {
 func (w *Window[X]) Drain() {
 	for w.qhead < len(w.queue) {
 		e := w.queue[w.qhead]
-		if len(w.pending) > 0 {
-			min := ^uint64(0)
-			for s := range w.pending {
-				if s < min {
-					min = s
-				}
-			}
-			if e.Req.Seq >= min+w.depth {
-				return
-			}
+		if w.inFlight > 0 && e.Req.Seq >= w.lo+w.depth {
+			return
 		}
 		w.queue[w.qhead] = nil
 		w.qhead++
-		w.pending[e.Req.Seq] = e
+		w.ring[e.Req.Seq&w.mask] = e
+		w.inFlight++
+		w.hi = e.Req.Seq + 1
 		w.transmit(e)
 	}
 	// Drained: rewind so future appends reuse the retained storage.
@@ -173,13 +201,18 @@ func (w *Window[X]) Drain() {
 
 // Take removes and returns the pending entry for seq. A miss means a
 // duplicate response (original + replayed retransmission) and returns
-// nil.
+// nil; so does a stale seq whose slot now holds a newer request.
 func (w *Window[X]) Take(seq uint64) *Entry[X] {
-	e, ok := w.pending[seq]
-	if !ok {
+	slot := &w.ring[seq&w.mask]
+	e := *slot
+	if e == nil || e.Req.Seq != seq {
 		return nil
 	}
-	delete(w.pending, seq)
+	*slot = nil
+	w.inFlight--
+	for w.lo < w.hi && w.ring[w.lo&w.mask] == nil {
+		w.lo++
+	}
 	return e
 }
 
@@ -202,19 +235,27 @@ func (w *Window[X]) Recycle(e *Entry[X]) {
 }
 
 // InFlight returns the number of transmitted, unacknowledged requests.
-func (w *Window[X]) InFlight() int { return len(w.pending) }
+func (w *Window[X]) InFlight() int { return w.inFlight }
 
 // Pooled returns the number of recycled entries available for reuse.
 func (w *Window[X]) Pooled() int { return len(w.free) }
 
-// Drop removes every pending and queued entry, calling visit on each.
-// The live client uses it to fail outstanding requests when the socket
-// dies; the sim transport never drops.
+// Drop removes every pending and queued entry, calling visit on each
+// oldest-first: pending entries in seq order, then the queue. The live
+// client uses it to fail outstanding requests when the socket dies; the
+// sim transport never drops.
 func (w *Window[X]) Drop(visit func(*Entry[X])) {
-	for s, e := range w.pending {
-		delete(w.pending, s)
-		visit(e)
+	for ; w.lo < w.hi; w.lo++ {
+		slot := &w.ring[w.lo&w.mask]
+		if e := *slot; e != nil {
+			*slot = nil
+			visit(e)
+		}
 	}
+	w.inFlight = 0
+	// The dropped queue is never transmitted: the next Enqueue's seq is
+	// the next one on the wire.
+	w.lo, w.hi = w.next, w.next
 	for i := w.qhead; i < len(w.queue); i++ {
 		e := w.queue[i]
 		w.queue[i] = nil
